@@ -291,7 +291,7 @@ func BenchmarkCacheHitParallel8(b *testing.B)            { benchCacheHitParallel
 func BenchmarkCacheHitParallel8SingleShard(b *testing.B) { benchCacheHitParallel(b, 1) }
 
 // BenchmarkProxySaturation drives the full serving stack (sharded
-// cache + staged pipeline) past its admission bound over real loopback
+// cache + queued pipeline) past its admission bound over real loopback
 // TCP — 32 clients, every request a distinct script, queue depth 2 on
 // 1 worker, the loadgen saturation shape. The metrics are the
 // acceptance story: rejected/op shows backpressure engaging,

@@ -1,14 +1,15 @@
 // Command ceresproxy runs the JS-CERES instrumentation proxy of Fig. 5
-// as a sharded, pipelined rewrite service: point a browser (or this
+// as a sharded, queued rewrite service: point a browser (or this
 // repository's interpreter) at it, and every JavaScript response from
 // the origin is rewritten with profiling instrumentation on the way
 // through. Pages post results to /__ceres/results; the proxy saves
 // human-readable reports. Rewrites are served from a content-addressed
 // single-flight cache sharded -shards ways; misses run through the
-// staged decode→parse→rewrite→encode pipeline on -rewrite-workers
-// scheduler workers with a -queue-depth admission bound (saturation is
-// shed as 429 + Retry-After). POST a JSON batch to /__ceres/prewarm to
-// warm the cache ahead of traffic; live counters are at /__ceres/stats.
+// decode→parse→rewrite→encode pipeline, one queue job per rewrite, on
+// -rewrite-workers scheduler workers with a -queue-depth admission
+// bound (saturation is shed as 429 + Retry-After). POST a JSON batch to
+// /__ceres/prewarm to warm the cache ahead of traffic; live counters
+// are at /__ceres/stats.
 //
 // Usage:
 //
@@ -52,6 +53,17 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/instrument"
 	"repro/internal/proxy"
+)
+
+// Server timeouts, fixed rather than flags. readHeaderTimeout bounds a
+// client that opens a connection and trickles its request headers
+// (slowloris), which would otherwise pin a connection forever;
+// idleTimeout closes keep-alive connections a client has stopped
+// using. Neither limits request bodies or responses, so large prewarm
+// batches and slow script downloads are unaffected.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
 )
 
 func main() {
@@ -126,7 +138,12 @@ func main() {
 	// Graceful shutdown: stop accepting, let in-flight requests finish,
 	// then drain the pipeline workers (a bare defer would never run —
 	// log.Fatal exits without running defers).
-	srv := &http.Server{Addr: *listen, Handler: p}
+	srv := &http.Server{
+		Addr:              *listen,
+		Handler:           p,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	idle := make(chan struct{})
 	go func() {
 		sig := make(chan os.Signal, 1)

@@ -169,10 +169,10 @@ func scanLocks(u *unit, body *ast.BlockStmt) []finding {
 
 // spawnInherit flags Queue.Submit/SubmitWith inside a job — any function
 // with a *sched.WorkerCtx parameter, nested literals included (they run
-// on the same ticket). Continuations must use w.Spawn: Spawn joins the
-// running ticket, inheriting its latency class and completion tracking;
-// Submit re-enters admission with a fresh default class and can deadlock
-// the pool if the parent waits on it.
+// under the same admission). Follow-on work belongs inline in the job:
+// Submit re-enters admission with a fresh default class, losing the
+// job's latency class, and can deadlock the pool if the job waits on
+// it.
 func spawnInherit(u *unit) []finding {
 	if strings.HasPrefix(u.importPath, schedPath) {
 		return nil
@@ -197,7 +197,7 @@ func spawnInherit(u *unit) []finding {
 					out = append(out, finding{
 						pos:      u.fset.Position(x.Pos()),
 						analyzer: "spawninherit",
-						msg: fmt.Sprintf("%s inside a job (function takes *sched.WorkerCtx); use w.Spawn so the continuation inherits the ticket's latency class",
+						msg: fmt.Sprintf("%s inside a job (function takes *sched.WorkerCtx); do the follow-on work inline in the job — a re-admission drops its latency class and can deadlock the pool",
 							name),
 					})
 				}

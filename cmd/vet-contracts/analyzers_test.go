@@ -136,14 +136,18 @@ import "repro/internal/sched"
 
 func root(q *sched.Queue) error {
 	return q.Submit(func(w *sched.WorkerCtx) { // fine: admission from outside any job
-		w.Spawn(func(w2 *sched.WorkerCtx) {}) // fine: ticket-inheriting continuation
+		decode(w.Worker)
+		parse(w.Worker) // fine: follow-on work inline in the job
 	})
 }
+
+func decode(int) {}
+func parse(int) {}
 `
 
 func TestSpawnInherit(t *testing.T) {
 	wantFindings(t, analyzeFixture(t, "repro/internal/fixture", spawnInheritBad),
-		"spawninherit", 2, "Spawn")
+		"spawninherit", 2, "inline in the job")
 	wantFindings(t, analyzeFixture(t, "repro/internal/fixture", spawnInheritGood),
 		"spawninherit", 0, "")
 }

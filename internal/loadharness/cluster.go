@@ -1,5 +1,5 @@
 // The cluster scenario: N in-process fleet nodes — each a full serving
-// proxy (sharded cache, staged pipeline) plus a cluster.Node routing
+// proxy (sharded cache, queued pipeline) plus a cluster.Node routing
 // layer — over loopback TCP, driven by interactive clients that spread
 // requests across every live node, with one node killed abruptly
 // mid-run (and optionally revived) to measure the disruption: forwards

@@ -2,7 +2,7 @@
 // by cmd/loadgen (interactive ladder reports) and cmd/benchproxy (the
 // persisted BENCH_proxy.json trajectory). It starts a synthetic origin
 // that generates deterministic JavaScript on demand, puts the real
-// serving proxy (internal/proxy over HTTP: sharded cache + staged
+// serving proxy (internal/proxy over HTTP: sharded cache + queued
 // pipeline with bounded admission) in front of it, and drives both
 // through the loopback TCP stack, so numbers include real serialization
 // cost.

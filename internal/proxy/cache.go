@@ -54,7 +54,7 @@ const negativeEntryCost = 128
 // Implementations without a scheduler (the inline default) ignore both.
 type RewriteFunc func(src []byte, mode instrument.Mode, class sched.Class, started func(promote func())) (body []byte, queueWait time.Duration, err error)
 
-// inlineRewrite is the default RewriteFunc: the staged transform run
+// inlineRewrite is the default RewriteFunc: the whole transform run
 // inline on the calling goroutine (no queue, no wait, classes moot).
 func inlineRewrite(src []byte, mode instrument.Mode, _ sched.Class, _ func(promote func())) ([]byte, time.Duration, error) {
 	res, err := instrument.Rewrite(instrument.Decode(src), mode)
@@ -220,7 +220,7 @@ func NewShardedRewriteCache(maxBytes int64, shards int) *RewriteCache {
 }
 
 // SetRewriteFunc replaces the rewrite computation (the serving pipeline
-// installs its admission-controlled staged path here). Must be called
+// installs its admission-controlled queued path here). Must be called
 // before the cache serves traffic.
 func (c *RewriteCache) SetRewriteFunc(fn RewriteFunc) { c.rewrite = fn }
 

@@ -1,17 +1,13 @@
-// The serving pipeline: the rewrite path split into explicit stages —
-// decode → parse/analyze → rewrite → encode — each running as its own
-// job on a bounded internal/sched.Queue instead of inline on the
-// request goroutine. Two properties follow:
-//
-//   - Admission control. A request enters the pipeline only if fewer
-//     than `depth` rewrites are outstanding; otherwise Submit reports
-//     sched.ErrSaturated immediately and the proxy sheds the load as
-//     HTTP 429 + Retry-After. Saturation is a bounded queue-wait tail,
-//     never unbounded goroutine pileup and latency growth.
-//   - Pipelining. Stages are separate scheduler jobs chained with
-//     Spawn, so while request A is encoding, request B can be parsing
-//     on another worker — and continuations drain before fresh
-//     admissions, so accepted work finishes first.
+// The serving pipeline: the rewrite path — decode → parse/analyze →
+// rewrite → encode — run as one job per admission on a bounded
+// internal/sched.Queue instead of inline on the request goroutine. A
+// request enters the pipeline only if fewer than `depth` rewrites are
+// outstanding; otherwise Submit reports sched.ErrSaturated immediately
+// and the proxy sheds the load as HTTP 429 + Retry-After. Saturation is
+// a bounded queue-wait tail, never unbounded goroutine pileup and
+// latency growth. The four stages run back to back inside the job and
+// are timed separately, so the stats still show where a rewrite's time
+// goes.
 //
 // Workers never block on other queue jobs (the deadlock rule from
 // sched.Queue): request goroutines wait on a completion channel,
@@ -24,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/instrument"
-	"repro/internal/js/ast"
 	"repro/internal/sched"
 )
 
@@ -38,7 +33,7 @@ const (
 	stageEncode
 )
 
-// Pipeline is the staged rewrite service. Create with NewPipeline,
+// Pipeline is the queued rewrite service. Create with NewPipeline,
 // install into a cache with SetRewriteFunc(pl.RewriteFor) and
 // SetRefresh(ttl, pl.AsyncRewrite), close with Close.
 //
@@ -70,8 +65,8 @@ type stageStat struct {
 // StageStats describes one pipeline stage's execution history.
 type StageStats struct {
 	Name string `json:"name"`
-	// Jobs counts stage executions (== admitted requests for decode;
-	// later stages run fewer when an earlier stage failed).
+	// Jobs counts rewrites that ran this stage (== rewrites run for
+	// decode; later stages run fewer when an earlier stage failed).
 	Jobs int64 `json:"jobs"`
 	// TotalUs/MeanUs/MaxUs are stage execution time in microseconds.
 	TotalUs int64 `json:"total_us"`
@@ -97,7 +92,7 @@ type PipelineStats struct {
 	Shed      int64 `json:"shed"`
 }
 
-// NewPipeline starts a staged rewrite service on `workers` scheduler
+// NewPipeline starts a queued rewrite service on `workers` scheduler
 // workers (<= 0 → 1) with an admission bound of `depth` outstanding
 // rewrites (<= 0 → workers*2).
 func NewPipeline(workers, depth int) *Pipeline {
@@ -115,22 +110,7 @@ func (pl *Pipeline) SetBatchMaxWait(d time.Duration) { pl.batchMaxWait = d }
 // Queue exposes the underlying scheduler queue (stats, capacity).
 func (pl *Pipeline) Queue() *sched.Queue { return pl.queue }
 
-// pipeJob carries one rewrite through the four stages.
-type pipeJob struct {
-	pl   *Pipeline
-	src  []byte
-	mode instrument.Mode
-	t0   time.Time // submit time; stage 1 computes the queue wait
-
-	text string
-	prog *ast.Program
-	body []byte
-	wait time.Duration
-	err  error
-	cb   func(body []byte, wait time.Duration, err error)
-}
-
-// Rewrite runs a staged rewrite at interactive priority, blocking until
+// Rewrite runs a queued rewrite at interactive priority, blocking until
 // it completes. A saturated queue returns sched.ErrSaturated without
 // queueing.
 func (pl *Pipeline) Rewrite(src []byte, mode instrument.Mode) ([]byte, time.Duration, error) {
@@ -138,7 +118,7 @@ func (pl *Pipeline) Rewrite(src []byte, mode instrument.Mode) ([]byte, time.Dura
 }
 
 // RewriteFor is the cache's RewriteFunc: admission-checked at the given
-// class, blocking until the staged rewrite completes (or, for a batch
+// class, blocking until the rewrite completes (or, for a batch
 // admission, until it is shed — delivered as sched.ErrSaturated). When
 // started is non-nil it is invoked exactly once after admission with
 // the job's Promote hook, before this call blocks; the cache's
@@ -165,7 +145,7 @@ func (pl *Pipeline) RewriteFor(src []byte, mode instrument.Mode, class sched.Cla
 	return r.body, r.wait, r.err
 }
 
-// AsyncRewrite is the cache's refresh entry point: same staged path,
+// AsyncRewrite is the cache's refresh entry point: same queued path,
 // same admission bound, but non-blocking — the result (or the admission
 // error) is delivered to cb. Refreshes are batch work: they yield to
 // interactive traffic in the queue's lane order, are evicted first at
@@ -180,46 +160,65 @@ func (pl *Pipeline) AsyncRewrite(src []byte, mode instrument.Mode, cb func(body 
 }
 
 func (pl *Pipeline) submit(src []byte, mode instrument.Mode, class sched.Class, cb func([]byte, time.Duration, error)) (*sched.Handle, error) {
-	j := &pipeJob{pl: pl, src: src, mode: mode, t0: time.Now(), cb: cb}
-	opts := sched.SubmitOptions{Class: class, OnShed: j.shed}
+	t0 := time.Now()
+	// A shed admission is delivered to its waiter as sched.ErrSaturated
+	// — indistinguishable from rejection at Submit, which is the correct
+	// reading: the system chose not to spend capacity on this job.
+	opts := sched.SubmitOptions{Class: class, OnShed: func() {
+		pl.mu.Lock()
+		pl.shed++
+		pl.mu.Unlock()
+		cb(nil, time.Since(t0), sched.ErrSaturated)
+	}}
 	if class == sched.ClassBatch {
 		opts.MaxWait = pl.batchMaxWait
 	}
-	return pl.queue.SubmitWith(j.decode, opts)
+	return pl.queue.SubmitWith(func(*sched.WorkerCtx) {
+		wait := time.Since(t0)
+		body, err := pl.run(src, mode)
+		pl.mu.Lock()
+		if err != nil {
+			pl.failures++
+		} else {
+			pl.complete++
+		}
+		pl.mu.Unlock()
+		cb(body, wait, err)
+	}, opts)
 }
 
-// shed delivers a dropped admission to its waiter: the queue freed the
-// slot for interactive work, or the batch deadline passed. The waiter
-// sees sched.ErrSaturated — indistinguishable from rejection at Submit,
-// which is the correct reading: the system chose not to spend capacity
-// on this job.
-func (j *pipeJob) shed() {
-	pl := j.pl
-	pl.mu.Lock()
-	pl.shed++
-	pl.mu.Unlock()
-	j.cb(nil, time.Since(j.t0), sched.ErrSaturated)
-}
-
-// recoverStage contains a panicking stage: the job completes with an
-// error (delivered to the waiting caller — nobody hangs on the
-// completion channel, and the cache's single-flight entry resolves)
-// instead of the panic killing a shared pipeline worker. A
-// panic-inducing script is handled like a parse failure: the proxy
-// serves it un-instrumented.
-func (j *pipeJob) recoverStage() {
-	if r := recover(); r != nil {
-		j.err = fmt.Errorf("proxy: rewrite stage panic: %v", r)
-		j.finish()
+// run is one rewrite: the four stages back to back, each timed. A
+// panicking stage becomes an error delivered to the waiting caller —
+// nobody hangs on the completion channel, and the cache's single-flight
+// entry resolves — instead of killing a shared pipeline worker; the
+// proxy serves such a script un-instrumented, like a parse failure.
+func (pl *Pipeline) run(src []byte, mode instrument.Mode) (body []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			body, err = nil, fmt.Errorf("proxy: rewrite stage panic: %v", r)
+		}
+	}()
+	t := time.Now()
+	text := instrument.Decode(src) // bytes → source text
+	t = pl.lap(stageDecode, t)
+	// The parse is the analyze half: it also inventories every
+	// syntactic loop the transform will wrap.
+	prog, err := instrument.Parse(text)
+	t = pl.lap(stageParse, t)
+	if err != nil {
+		return nil, err
 	}
+	instrument.Transform(prog) // wrap every loop with runtime callbacks
+	t = pl.lap(stageRewrite, t)
+	body = []byte(instrument.Encode(prog, mode)) // runtime + printed program
+	pl.lap(stageEncode, t)
+	return body, nil
 }
 
-// timed runs fn as stage `stage`, recording its duration.
-func (j *pipeJob) timed(stage int, fn func()) {
-	start := time.Now()
-	fn()
-	ns := time.Since(start).Nanoseconds()
-	pl := j.pl
+// lap records the stage that ran since start and returns its end time.
+func (pl *Pipeline) lap(stage int, start time.Time) time.Time {
+	now := time.Now()
+	ns := now.Sub(start).Nanoseconds()
 	pl.mu.Lock()
 	s := &pl.stages[stage]
 	s.jobs++
@@ -228,53 +227,7 @@ func (j *pipeJob) timed(stage int, fn func()) {
 		s.maxNs = ns
 	}
 	pl.mu.Unlock()
-}
-
-// decode is stage 1: bytes → source text. It also stamps the queue
-// wait — the time between admission and first execution.
-func (j *pipeJob) decode(w *sched.WorkerCtx) {
-	defer j.recoverStage()
-	j.wait = time.Since(j.t0)
-	j.timed(stageDecode, func() { j.text = instrument.Decode(j.src) })
-	w.Spawn(j.parse)
-}
-
-// parse is stage 2: source text → AST (the analyze half: the parse
-// also inventories every syntactic loop the transform will wrap).
-func (j *pipeJob) parse(w *sched.WorkerCtx) {
-	defer j.recoverStage()
-	j.timed(stageParse, func() { j.prog, j.err = instrument.Parse(j.text) })
-	if j.err != nil {
-		j.finish()
-		return
-	}
-	w.Spawn(j.rewrite)
-}
-
-// rewrite is stage 3: wrap every loop with runtime callbacks, in place.
-func (j *pipeJob) rewrite(w *sched.WorkerCtx) {
-	defer j.recoverStage()
-	j.timed(stageRewrite, func() { instrument.Transform(j.prog) })
-	w.Spawn(j.encode)
-}
-
-// encode is stage 4: runtime + printed program → response bytes.
-func (j *pipeJob) encode(w *sched.WorkerCtx) {
-	defer j.recoverStage()
-	j.timed(stageEncode, func() { j.body = []byte(instrument.Encode(j.prog, j.mode)) })
-	j.finish()
-}
-
-func (j *pipeJob) finish() {
-	pl := j.pl
-	pl.mu.Lock()
-	if j.err != nil {
-		pl.failures++
-	} else {
-		pl.complete++
-	}
-	pl.mu.Unlock()
-	j.cb(j.body, j.wait, j.err)
+	return now
 }
 
 // Stats snapshots the pipeline and its queue.

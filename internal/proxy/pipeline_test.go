@@ -19,7 +19,7 @@ import (
 	"repro/internal/sched"
 )
 
-// TestPipelineMatchesInlineRewrite: the staged pipeline is an execution
+// TestPipelineMatchesInlineRewrite: the queued pipeline is an execution
 // strategy, never a semantic change — its output is byte-identical to
 // the one-shot instrument.Rewrite for every mode.
 func TestPipelineMatchesInlineRewrite(t *testing.T) {
@@ -74,6 +74,30 @@ func TestPipelineParseFailureSkipsLaterStages(t *testing.T) {
 		if ss.Jobs != want {
 			t.Errorf("stage %s ran %d jobs, want %d", ss.Name, ss.Jobs, want)
 		}
+	}
+}
+
+// TestPipelineOneJobPerRewrite: every admitted rewrite — one that
+// parses and one that does not — runs as exactly one queue job.
+func TestPipelineOneJobPerRewrite(t *testing.T) {
+	pl := NewPipeline(2, 8)
+	const n = 6
+	for i := 0; i < n; i++ {
+		src := srcN(i)
+		if i == n-1 {
+			src = []byte("function ( { nope")
+		}
+		if _, _, err := pl.Rewrite(src, instrument.ModeLight); (err != nil) != (i == n-1) {
+			t.Fatalf("rewrite %d: err = %v", i, err)
+		}
+	}
+	pl.Close() // a job counts as completed only after it returns
+	st := pl.Stats()
+	if st.Queue.Submitted != n || st.Queue.Completed != st.Queue.Submitted {
+		t.Errorf("queue submitted/completed = %d/%d, want %d/%d", st.Queue.Submitted, st.Queue.Completed, n, n)
+	}
+	if st.Completed != n-1 || st.Failures != 1 {
+		t.Errorf("pipeline completed/failures = %d/%d, want %d/1", st.Completed, st.Failures, n-1)
 	}
 }
 
@@ -150,6 +174,15 @@ func TestServingBackpressure429(t *testing.T) {
 	}
 
 	close(release)
+	// The worker frees the blocker's admission only after the job
+	// returns; wait for that, or the next GET can race it into a
+	// second 429.
+	for deadline := time.Now().Add(5 * time.Second); p.Pipeline.Queue().Stats().InFlight != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("blocker admission never freed")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	body, resp2 := get(t, srv.URL+"/shed.js")
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-drain status %d", resp2.StatusCode)

@@ -8,7 +8,7 @@
 //
 // The proxy is built to sit on the hot path of every page load: rewrites
 // go through a content-addressed single-flight cache (cache.go) sharded
-// N ways by content hash, cache misses flow through the staged serving
+// N ways by content hash, cache misses flow through the queued serving
 // pipeline (pipeline.go) with bounded admission — saturation is shed as
 // HTTP 429 + Retry-After instead of queueing without limit — forwarding
 // follows reverse-proxy rules (hop-by-hop headers stripped in both
@@ -63,7 +63,7 @@ type Proxy struct {
 	// Cache dedupes rewrites across requests. nil disables caching:
 	// every JavaScript response is rewritten from scratch.
 	Cache *RewriteCache
-	// Pipeline, when non-nil, runs rewrites as staged scheduler jobs
+	// Pipeline, when non-nil, runs each rewrite as one scheduler job
 	// with bounded admission; saturation is shed as 429. NewServing
 	// wires it under the cache (misses pay admission, hits do not).
 	Pipeline *Pipeline
@@ -122,8 +122,8 @@ type ServeConfig struct {
 type Stats struct {
 	// Instrumented counts responses served with a rewritten body.
 	Instrumented int64 `json:"instrumented"`
-	// Passthrough counts responses forwarded untouched (non-JS or
-	// non-200).
+	// Passthrough counts responses forwarded untouched (non-JS,
+	// non-200, or a script over the 8 MiB rewrite bound).
 	Passthrough int64 `json:"passthrough"`
 	// Failures counts JS responses passed through unmodified because
 	// the rewrite failed (step 2 must never break the page).
@@ -151,7 +151,7 @@ type Stats struct {
 	CacheShards    int   `json:"cache_shards"`
 	// Reports counts result uploads accepted on /__ceres/results.
 	Reports int64 `json:"reports"`
-	// Pipeline is the staged serving pipeline's snapshot (nil when the
+	// Pipeline is the serving pipeline's snapshot (nil when the
 	// proxy rewrites inline).
 	Pipeline *PipelineStats `json:"pipeline,omitempty"`
 	// Cluster is the fleet view: membership, ring rebalances, and the
@@ -186,7 +186,7 @@ func New(origin string, mode instrument.Mode, reportDir string) (*Proxy, error) 
 }
 
 // NewServing returns the production-shaped proxy: sharded cache,
-// staged pipeline with bounded admission under every cache miss, and
+// queued pipeline with bounded admission under every cache miss, and
 // (when cfg.RefreshTTL > 0) near-expiry background refresh through the
 // same pipeline. Callers must Close it to stop the pipeline workers.
 func NewServing(origin string, mode instrument.Mode, reportDir string, cfg ServeConfig) (*Proxy, error) {
@@ -351,16 +351,21 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request) {
 	if resp.StatusCode != http.StatusOK || !isJavaScript(resp.Header.Get("Content-Type"), r.URL.Path) {
 		// Non-JS (and non-200) responses stream through without
 		// buffering — images and videos never sit in proxy memory.
-		p.passthrough.Add(1)
-		copyEndToEndHeaders(w.Header(), resp.Header)
-		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(w, resp.Body)
+		p.passThrough(w, resp, nil)
 		return
 	}
 
-	body, err := io.ReadAll(resp.Body)
+	// Bounded even though the origin is trusted: the transport's
+	// implicit gzip means a small response can decode to any size.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxScriptBytes+1))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	if len(body) > maxScriptBytes {
+		// Too large to rewrite, but step 2 must never break the page:
+		// serve it un-instrumented.
+		p.passThrough(w, resp, body)
 		return
 	}
 	out, wait, rerr := p.routeRewrite(r, body, sched.ClassInteractive)
@@ -388,6 +393,16 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(out)
+}
+
+// passThrough forwards resp untouched: head (body bytes already read)
+// followed by the rest of the body, streamed without buffering.
+func (p *Proxy) passThrough(w http.ResponseWriter, resp *http.Response, head []byte) {
+	p.passthrough.Add(1)
+	copyEndToEndHeaders(w.Header(), resp.Header)
+	w.WriteHeader(resp.StatusCode)
+	_, _ = w.Write(head)
+	_, _ = io.Copy(w, resp.Body)
 }
 
 // rewrite instruments src at the given latency class through the cache
@@ -458,13 +473,13 @@ func (p *Proxy) routeRewrite(r *http.Request, body []byte, class sched.Class) ([
 // queue wait, 429 + Retry-After reports saturation (retryable at the
 // caller), 422 reports a script that does not rewrite (terminal).
 func (p *Proxy) handlePeerRewrite(w http.ResponseWriter, r *http.Request) {
-	src, err := io.ReadAll(io.LimitReader(r.Body, prewarmMaxScriptBytes+1))
+	src, err := io.ReadAll(io.LimitReader(r.Body, maxScriptBytes+1))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(src) > prewarmMaxScriptBytes {
-		http.Error(w, fmt.Sprintf("proxy: peer rewrite body over %d bytes", prewarmMaxScriptBytes), http.StatusBadRequest)
+	if len(src) > maxScriptBytes {
+		http.Error(w, fmt.Sprintf("proxy: peer rewrite body over %d bytes", maxScriptBytes), http.StatusBadRequest)
 		return
 	}
 	if m := r.Header.Get(cluster.ModeHeader); m != "" && m != p.Mode.String() {
@@ -701,10 +716,11 @@ func (p *Proxy) transferPrewarm(ctx context.Context, owner string, src []byte) (
 	return resp.Items[0].Status, resp.Items[0].Error
 }
 
-// prewarmMaxScriptBytes caps one fetched script — the same order as
-// the whole-batch body limit, so a hostile or misconfigured target
-// cannot balloon proxy memory through 8 concurrent fetchers.
-const prewarmMaxScriptBytes = 8 << 20
+// maxScriptBytes caps one script the proxy buffers to rewrite — served,
+// prewarm-fetched or peer-forwarded. It is the same order as the
+// prewarm whole-batch body limit, so a hostile or misconfigured origin
+// or peer cannot balloon proxy memory through concurrent requests.
+const maxScriptBytes = 8 << 20
 
 // fetchScript retrieves one prewarm target. Targets are confined to
 // the configured origin: a path is resolved against it, and an
@@ -736,12 +752,12 @@ func (p *Proxy) fetchScript(r *http.Request, raw string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("proxy: prewarm fetch %s: status %d", up.String(), resp.StatusCode)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, prewarmMaxScriptBytes+1))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxScriptBytes+1))
 	if err != nil {
 		return nil, err
 	}
-	if len(body) > prewarmMaxScriptBytes {
-		return nil, fmt.Errorf("proxy: prewarm fetch %s: script over %d bytes", up.String(), prewarmMaxScriptBytes)
+	if len(body) > maxScriptBytes {
+		return nil, fmt.Errorf("proxy: prewarm fetch %s: script over %d bytes", up.String(), maxScriptBytes)
 	}
 	return body, nil
 }

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -165,6 +166,47 @@ func TestProxyFailsafeOnBrokenJS(t *testing.T) {
 	}
 	if got := p.Stats().Failures; got != 1 {
 		t.Errorf("Failures = %d, want 1", got)
+	}
+}
+
+// TestProxyStreamsOversizeScript: a script that decodes past
+// maxScriptBytes — here a gzip response a few KB on the wire, which the
+// transport inflates transparently — is never buffered whole or
+// rewritten; it streams through byte-identical and counts as
+// passthrough.
+func TestProxyStreamsOversizeScript(t *testing.T) {
+	src := make([]byte, maxScriptBytes+1)
+	n := copy(src, pageJS+"//")
+	for i := n; i < len(src); i++ {
+		src[i] = 'a'
+	}
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/javascript")
+		if !strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+			w.Write(src)
+			return
+		}
+		w.Header().Set("Content-Encoding", "gzip")
+		zw := gzip.NewWriter(w)
+		zw.Write(src)
+		zw.Close()
+	}))
+	defer origin.Close()
+	p, srv := newProxy(t, origin.URL, "")
+	before := p.Stats()
+	body, resp := get(t, srv.URL+"/huge.js")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if body != string(src) {
+		t.Fatalf("oversize script modified: got %d bytes, want %d untouched", len(body), len(src))
+	}
+	after := p.Stats()
+	if after.Passthrough != before.Passthrough+1 {
+		t.Errorf("Passthrough %d -> %d, want +1", before.Passthrough, after.Passthrough)
+	}
+	if after.Instrumented != before.Instrumented || after.Failures != before.Failures {
+		t.Errorf("oversize script counted as a rewrite: %+v", after)
 	}
 }
 

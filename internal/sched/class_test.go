@@ -75,44 +75,6 @@ func TestQueueInteractivePreemptsBatchOrdering(t *testing.T) {
 	}
 }
 
-// TestQueueSpawnInheritsClass: a batch continuation stays in the batch
-// lanes — an interactive root admitted while the batch root runs beats
-// the batch root's own continuation to the worker.
-func TestQueueSpawnInheritsClass(t *testing.T) {
-	q := NewQueue(1, 8)
-	defer q.Close()
-	var log orderLog
-	batchRunning := make(chan struct{})
-	gate := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	if _, err := q.SubmitWith(func(w *WorkerCtx) {
-		close(batchRunning)
-		<-gate
-		w.Spawn(func(w *WorkerCtx) {
-			log.step("batch-cont")
-			wg.Done()
-		})
-	}, SubmitOptions{Class: ClassBatch}); err != nil {
-		t.Fatal(err)
-	}
-	<-batchRunning
-	if err := q.Submit(func(w *WorkerCtx) {
-		log.step("interactive")
-		wg.Done()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	close(gate)
-	wg.Wait()
-	if got := log.snapshot(); got[0] != "interactive" {
-		t.Fatalf("order = %v, want the interactive root before the batch continuation", got)
-	}
-	if st := q.Stats(); st.Spawned != 1 {
-		t.Errorf("Spawned = %d, want 1", st.Spawned)
-	}
-}
-
 // TestQueueBatchShedsBeforeInteractiveRejected: at the admission bound
 // an interactive Submit evicts the oldest queued batch root (OnShed
 // fires, the batch job never runs) and is admitted; interactive is
@@ -242,8 +204,8 @@ func TestQueuePromoteReordersQueuedRoot(t *testing.T) {
 	}
 }
 
-// TestQueueCloseWhileInflightSpawns: Close called while roots are
-// mid-flight must wait for every pending Spawn continuation — across
+// TestQueueCloseWhileInflightSpawns: Close called while jobs are
+// mid-flight must wait for every job still running or queued — across
 // both classes — before the workers exit.
 func TestQueueCloseWhileInflightSpawns(t *testing.T) {
 	q := NewQueue(2, 16)
@@ -258,21 +220,22 @@ func TestQueueCloseWhileInflightSpawns(t *testing.T) {
 		if _, err := q.SubmitWith(func(w *WorkerCtx) {
 			started <- struct{}{}
 			time.Sleep(time.Millisecond)
-			w.Spawn(func(w *WorkerCtx) {
-				w.Spawn(func(w *WorkerCtx) { leaves.Add(1) })
-			})
+			leaves.Add(1)
 		}, SubmitOptions{Class: class}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	<-started // at least one root is mid-flight when Close lands
+	<-started // at least one job is mid-flight when Close lands
 	q.Close()
 	if got := leaves.Load(); got != roots {
-		t.Fatalf("leaf continuations after Close: %d ran, want %d", got, roots)
+		t.Fatalf("jobs finished after Close: %d, want %d", got, roots)
 	}
 	st := q.Stats()
 	if st.InFlight != 0 || st.Interactive.InFlight != 0 || st.Batch.InFlight != 0 {
 		t.Errorf("in-flight after Close = %+v, want all zero", st)
+	}
+	if st.Completed != roots {
+		t.Errorf("Completed = %d after Close, want %d", st.Completed, roots)
 	}
 }
 
@@ -285,9 +248,7 @@ func TestQueuePromoteRacesCompletion(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		var wg sync.WaitGroup
 		wg.Add(1)
-		h, err := q.SubmitWith(func(w *WorkerCtx) {
-			w.Spawn(func(w *WorkerCtx) { wg.Done() })
-		}, SubmitOptions{Class: ClassBatch})
+		h, err := q.SubmitWith(func(w *WorkerCtx) { wg.Done() }, SubmitOptions{Class: ClassBatch})
 		if err != nil {
 			wg.Done()
 			continue

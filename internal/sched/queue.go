@@ -6,17 +6,15 @@
 // but the *admission* — how much work is allowed to be outstanding at
 // once. Queue is that entry point: a long-lived worker pool with a
 // bounded admission queue, explicit saturation (ErrSaturated, never an
-// unbounded goroutine-per-request), and continuation jobs so a single
-// admission can flow through multiple pipeline stages without holding a
-// worker hostage between them.
+// unbounded goroutine-per-request). Each admission is exactly one job:
+// a job does all of its work inline and never enqueues more.
 //
 // Admissions carry a latency Class (class.go). The queue is two-lane:
-// every interactive task — root or continuation — drains before any
-// batch task, continuations inherit their parent ticket's class, and at
+// every queued interactive job runs before any batch job, and at
 // saturation batch is shed before interactive is ever rejected (an
-// interactive Submit evicts the oldest still-queued batch root rather
+// interactive Submit evicts the oldest still-queued batch job rather
 // than return ErrSaturated while one exists). Batch admissions may also
-// carry a queue-wait deadline: a batch root a worker reaches past its
+// carry a queue-wait deadline: a batch job a worker reaches past its
 // MaxWait is shed instead of run late.
 package sched
 
@@ -24,7 +22,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -40,48 +37,28 @@ var ErrClosed = errors.New("sched: queue closed")
 
 // Job is one unit of queued work. The worker index has the same
 // contract as BodyFunc's: each index is serviced by a single goroutine
-// for the queue's lifetime, so per-worker state needs no locking.
+// for the queue's lifetime, so per-worker state needs no locking. A job
+// must never block on other queue work — follow-on work runs inline in
+// the job — or it can deadlock the pool.
 type Job func(w *WorkerCtx)
 
-// WorkerCtx is passed to every job: the worker index it runs on, plus
-// Spawn for continuations.
+// WorkerCtx is passed to every job.
 type WorkerCtx struct {
 	// Worker is the pool worker index in [0, Workers).
 	Worker int
-	q      *Queue
-	t      *ticket
 }
 
-// Spawn enqueues a continuation of the current job under the *same*
-// admission ticket: it can never be rejected (the admission decision
-// was made at Submit), it inherits the ticket's class — including a
-// promotion that happens after the spawn — and it runs before
-// newly-admitted roots of its class, so pipelines drain from the back.
-// Jobs must use Spawn — never a blocking wait on another queue job — to
-// hand work forward; a job that blocks on queue-scheduled work can
-// deadlock the pool.
-func (w *WorkerCtx) Spawn(fn Job) {
-	w.t.refs.Add(1)
-	w.q.enqueue(&task{fn: fn, t: w.t}, true)
-}
-
-// ticket is one admission: refs counts the not-yet-finished jobs in its
-// continuation tree; the admission slot frees when it hits zero.
-// class and done are guarded by Queue.mu — done marks the slot freed
-// (tree finished, or root shed before running) and makes any later
-// Promote a no-op.
-type ticket struct {
-	refs   atomic.Int64
-	class  Class
-	done   bool
-	onShed func()
-}
-
+// task is one admission and its job. class and done are guarded by
+// Queue.mu — class changes at most once (batch → interactive, via
+// Promote), and done marks the admission slot freed (job finished, or
+// shed before running) and makes any later Promote a no-op.
 type task struct {
 	fn       Job
-	t        *ticket
-	enq      time.Time // set for admitted roots; zero for continuations
-	deadline time.Time // batch roots with MaxWait; zero otherwise
+	class    Class
+	done     bool
+	onShed   func()
+	enq      time.Time
+	deadline time.Time // batch admissions with MaxWait; zero otherwise
 }
 
 // waitRingSize bounds each class's queue-wait sample ring (recent
@@ -97,22 +74,17 @@ type Queue struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// Lane order is the whole scheduling policy: workers scan
-	// high[Interactive], low[Interactive], high[Batch], low[Batch] —
-	// continuations before roots within a class, interactive entirely
-	// before batch.
-	high    [numClasses][]*task // continuations
-	low     [numClasses][]*task // admitted roots
+	// Lane order is the whole scheduling policy: the interactive lane
+	// drains entirely before the batch lane, FIFO within a lane.
+	lanes   [numClasses][]*task
 	closed  bool
-	running int // jobs currently executing
-	tickets int // admissions whose continuation tree has not finished
+	tickets int // admissions whose job has not finished or been shed
 
 	classTickets [numClasses]int
 	submitted    [numClasses]int64
 	rejected     [numClasses]int64
 	shed         [numClasses]int64
 	promoted     int64
-	spawned      int64
 	completed    int64
 	maxQueued    int
 
@@ -126,16 +98,16 @@ type Queue struct {
 type ClassQueueStats struct {
 	// Submitted counts admitted Submit calls; Rejected counts Submits
 	// that returned ErrSaturated; Shed counts admissions dropped after
-	// admission but before their root ran (batch eviction at
+	// admission but before their job ran (batch eviction at
 	// saturation, or MaxWait deadline).
 	Submitted int64 `json:"submitted"`
 	Rejected  int64 `json:"rejected"`
 	Shed      int64 `json:"shed"`
 	// InFlight is the number of admission tickets currently held at
-	// this class (a promoted ticket counts as interactive).
+	// this class (a promoted admission counts as interactive).
 	InFlight int `json:"in_flight"`
-	// QueueWait* describe time admitted roots of this class spent
-	// queued before their first stage started: mean over whole history,
+	// QueueWait* describe time admitted jobs of this class spent
+	// queued before they started: mean over whole history,
 	// percentiles and max over the last waitRingSize admissions.
 	QueueWaitMean time.Duration `json:"queue_wait_mean_ns"`
 	QueueWaitP50  time.Duration `json:"queue_wait_p50_ns"`
@@ -151,14 +123,13 @@ type QueueStats struct {
 	Workers int `json:"workers"`
 	Depth   int `json:"depth"`
 	// Submitted/Rejected count Submit calls (admitted vs ErrSaturated);
-	// Shed counts admitted-then-dropped roots; Spawned counts
-	// continuations; Completed counts jobs executed; Promoted counts
+	// Shed counts admitted-then-dropped jobs; Completed counts jobs
+	// executed (one per admission that was not shed); Promoted counts
 	// batch→interactive promotions.
 	Submitted int64 `json:"submitted"`
 	Rejected  int64 `json:"rejected"`
 	Shed      int64 `json:"shed"`
 	Promoted  int64 `json:"promoted"`
-	Spawned   int64 `json:"spawned"`
 	Completed int64 `json:"completed"`
 	// InFlight is the number of admission tickets currently held.
 	InFlight int `json:"in_flight"`
@@ -202,9 +173,8 @@ func (q *Queue) Depth() int { return q.depth }
 
 // Submit admits fn at ClassInteractive, or reports ErrSaturated when
 // `depth` admissions are already outstanding and none can be shed (an
-// admission stays outstanding until its whole continuation tree
-// finishes). Submit never blocks: backpressure is the caller's to
-// surface, immediately.
+// admission stays outstanding until its job returns). Submit never
+// blocks: backpressure is the caller's to surface, immediately.
 func (q *Queue) Submit(fn Job) error {
 	_, err := q.SubmitWith(fn, SubmitOptions{})
 	return err
@@ -212,7 +182,7 @@ func (q *Queue) Submit(fn Job) error {
 
 // SubmitWith admits fn under opts. At the admission bound the shed
 // order is class-asymmetric: a batch Submit is rejected outright, while
-// an interactive Submit first evicts the oldest still-queued batch root
+// an interactive Submit first evicts the oldest still-queued batch job
 // (its OnShed fires) and is only rejected when no queued batch work
 // remains — so batch always sheds before any interactive rejection.
 // The returned Handle supports priority inheritance via Promote; it is
@@ -245,159 +215,124 @@ func (q *Queue) SubmitWith(fn Job, opts SubmitOptions) (*Handle, error) {
 	q.tickets++
 	q.classTickets[class]++
 	q.submitted[class]++
-	t := &ticket{class: class, onShed: opts.OnShed}
-	t.refs.Store(1)
-	tk := &task{fn: fn, t: t, enq: time.Now()}
+	tk := &task{fn: fn, class: class, onShed: opts.OnShed, enq: time.Now()}
 	if class == ClassBatch && opts.MaxWait > 0 {
 		tk.deadline = tk.enq.Add(opts.MaxWait)
 	}
-	q.enqueueLocked(tk, false)
-	q.mu.Unlock()
-	if evicted != nil {
-		evicted()
-	}
-	return &Handle{q: q, t: t}, nil
-}
-
-// evictQueuedBatchLocked drops the oldest queued batch root to free its
-// admission slot for an arriving interactive request. Returns the shed
-// ticket (its OnShed must be called after the lock is released), or nil
-// when no batch root is still queued — batch work that already started
-// is never preempted.
-func (q *Queue) evictQueuedBatchLocked() *ticket {
-	lane := q.low[ClassBatch]
-	if len(lane) == 0 {
-		return nil
-	}
-	tk := lane[0]
-	q.low[ClassBatch] = lane[1:]
-	q.freeTicketLocked(tk.t, true)
-	return tk.t
-}
-
-// freeTicketLocked releases an admission slot — either its continuation
-// tree finished (shed=false) or its root was dropped before running
-// (shed=true). done makes late Promotes no-ops and guards against any
-// double free.
-func (q *Queue) freeTicketLocked(t *ticket, shed bool) {
-	if t.done {
-		return
-	}
-	t.done = true
-	q.tickets--
-	q.classTickets[t.class]--
-	if shed {
-		q.shed[t.class]++
-	}
-}
-
-func (q *Queue) enqueue(tk *task, cont bool) {
-	q.mu.Lock()
-	q.enqueueLocked(tk, cont)
-	q.mu.Unlock()
-}
-
-func (q *Queue) enqueueLocked(tk *task, cont bool) {
-	class := tk.t.class
-	if cont {
-		q.spawned++
-		q.high[class] = append(q.high[class], tk)
-	} else {
-		q.low[class] = append(q.low[class], tk)
-	}
+	q.lanes[class] = append(q.lanes[class], tk)
 	if n := q.queuedLocked(); n > q.maxQueued {
 		q.maxQueued = n
 	}
 	q.cond.Signal()
+	q.mu.Unlock()
+	if evicted != nil {
+		evicted()
+	}
+	return &Handle{q: q, tk: tk}, nil
+}
+
+// evictQueuedBatchLocked drops the oldest queued batch job to free its
+// admission slot for an arriving interactive request. Returns the shed
+// task (its OnShed must be called after the lock is released), or nil
+// when no batch job is still queued — batch work that already started
+// is never preempted.
+func (q *Queue) evictQueuedBatchLocked() *task {
+	tk := q.popLocked(ClassBatch)
+	if tk != nil {
+		q.freeLocked(tk, true)
+	}
+	return tk
+}
+
+// freeLocked releases an admission slot — either its job finished
+// (shed=false) or it was dropped before running (shed=true). done makes
+// late Promotes no-ops.
+func (q *Queue) freeLocked(tk *task, shed bool) {
+	tk.done = true
+	q.tickets--
+	q.classTickets[tk.class]--
+	if shed {
+		q.shed[tk.class]++
+	}
 }
 
 func (q *Queue) queuedLocked() int {
 	n := 0
 	for c := Class(0); c < numClasses; c++ {
-		n += len(q.high[c]) + len(q.low[c])
+		n += len(q.lanes[c])
 	}
 	return n
 }
 
-// dequeueLocked pops the next task in lane-priority order. root reports
-// whether the task is an admitted root (wait is recorded, deadline
-// checked) rather than a continuation.
-func (q *Queue) dequeueLocked() (tk *task, root bool) {
+// popLocked removes and returns the front of class c's lane, or nil
+// when it is empty. The popped slot is cleared: the backing array
+// outlives the pop, and a stale pointer there would keep a finished
+// job's inputs reachable.
+func (q *Queue) popLocked(c Class) *task {
+	lane := q.lanes[c]
+	if len(lane) == 0 {
+		return nil
+	}
+	tk := lane[0]
+	lane[0] = nil
+	q.lanes[c] = lane[1:]
+	return tk
+}
+
+// dequeueLocked pops the next task in lane-priority order, or returns
+// nil when every lane is empty.
+func (q *Queue) dequeueLocked() *task {
 	for c := Class(0); c < numClasses; c++ {
-		if len(q.high[c]) > 0 {
-			tk = q.high[c][0]
-			q.high[c] = q.high[c][1:]
-			return tk, false
-		}
-		if len(q.low[c]) > 0 {
-			tk = q.low[c][0]
-			q.low[c] = q.low[c][1:]
-			return tk, true
+		if tk := q.popLocked(c); tk != nil {
+			return tk
 		}
 	}
-	return nil, false
+	return nil
 }
 
 func (q *Queue) work(w int) {
 	defer q.wg.Done()
 	for {
 		q.mu.Lock()
-		for q.queuedLocked() == 0 && !(q.closed && q.running == 0) {
+		for q.queuedLocked() == 0 && !q.closed {
 			q.cond.Wait()
 		}
-		tk, root := q.dequeueLocked()
+		tk := q.dequeueLocked()
 		if tk == nil {
-			// closed, queues empty, nothing running that could spawn.
+			// Closed and drained; no job can enqueue more work.
 			q.mu.Unlock()
 			return
 		}
-		if root {
-			// Deadline shed: a batch root reached past its MaxWait is
-			// dropped instead of run late. Promotion clears the check
-			// (tk.t.class is read under the lock), so an inherited-
-			// priority job always runs.
-			if !tk.deadline.IsZero() && tk.t.class == ClassBatch && time.Now().After(tk.deadline) {
-				q.freeTicketLocked(tk.t, true)
-				onShed := tk.t.onShed
-				q.wakeIfDrainedLocked()
-				q.mu.Unlock()
-				if onShed != nil {
-					onShed()
-				}
-				continue
+		// Deadline shed: a batch job reached past its MaxWait is
+		// dropped instead of run late. Promotion clears the check
+		// (tk.class is read under the lock), so an inherited-priority
+		// job always runs.
+		if !tk.deadline.IsZero() && tk.class == ClassBatch && time.Now().After(tk.deadline) {
+			q.freeLocked(tk, true)
+			q.mu.Unlock()
+			if tk.onShed != nil {
+				tk.onShed()
 			}
-			q.recordWaitLocked(tk.t.class, time.Since(tk.enq))
+			continue
 		}
-		q.running++
+		q.recordWaitLocked(tk.class, time.Since(tk.enq))
 		q.mu.Unlock()
 
-		runJob(tk.fn, &WorkerCtx{Worker: w, q: q, t: tk.t})
+		runJob(tk.fn, &WorkerCtx{Worker: w})
 
 		q.mu.Lock()
-		q.running--
 		q.completed++
-		if tk.t.refs.Add(-1) == 0 {
-			q.freeTicketLocked(tk.t, false)
-		}
-		q.wakeIfDrainedLocked()
+		q.freeLocked(tk, false)
 		q.mu.Unlock()
-	}
-}
-
-// wakeIfDrainedLocked wakes parked siblings so they can observe the
-// worker exit condition once the queue is closed and fully drained.
-func (q *Queue) wakeIfDrainedLocked() {
-	if q.closed && q.running == 0 && q.queuedLocked() == 0 {
-		q.cond.Broadcast()
 	}
 }
 
 // runJob contains a panicking job so one bad input cannot kill a
-// shared worker or corrupt the queue's ticket accounting. Containment
-// is all the queue can do — it cannot deliver a result on the job's
-// behalf, so jobs that report through channels or callbacks must
-// install their own recover (as the proxy pipeline's stages do) or
-// their waiters hang.
+// shared worker or corrupt the queue's admission accounting.
+// Containment is all the queue can do — it cannot deliver a result on
+// the job's behalf, so jobs that report through channels or callbacks
+// must install their own recover (as the proxy pipeline does) or their
+// waiters hang.
 func runJob(fn Job, w *WorkerCtx) {
 	defer func() { _ = recover() }()
 	fn(w)
@@ -410,9 +345,8 @@ func (q *Queue) recordWaitLocked(class Class, d time.Duration) {
 }
 
 // Close stops admission immediately (Submit returns ErrClosed), lets
-// queued jobs and their continuations finish, and waits for the workers
-// to exit. Queued batch roots still run — Close drains, it does not
-// shed.
+// queued jobs finish, and waits for the workers to exit. Queued batch
+// jobs still run — Close drains, it does not shed.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true
@@ -429,7 +363,6 @@ func (q *Queue) Stats() QueueStats {
 		Workers:   q.workers,
 		Depth:     q.depth,
 		Promoted:  q.promoted,
-		Spawned:   q.spawned,
 		Completed: q.completed,
 		InFlight:  q.tickets,
 		MaxQueued: q.maxQueued,

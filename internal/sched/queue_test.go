@@ -10,7 +10,6 @@ import (
 
 func TestQueueRunsJobs(t *testing.T) {
 	q := NewQueue(4, 16)
-	defer q.Close()
 	var n atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -26,6 +25,9 @@ func TestQueueRunsJobs(t *testing.T) {
 	if got := n.Load(); got != 16 {
 		t.Fatalf("ran %d jobs, want 16", got)
 	}
+	// A job's admission is counted complete only after it returns;
+	// Close waits for that.
+	q.Close()
 	st := q.Stats()
 	if st.Submitted != 16 || st.Completed != 16 || st.Rejected != 0 {
 		t.Errorf("stats = %+v, want 16 submitted/completed, 0 rejected", st)
@@ -72,84 +74,6 @@ func TestQueueSaturation(t *testing.T) {
 	<-done
 }
 
-// TestQueueSpawnHoldsTicket: a continuation tree occupies exactly one
-// admission until its last job finishes, and Spawn is never rejected.
-func TestQueueSpawnHoldsTicket(t *testing.T) {
-	q := NewQueue(1, 1)
-	defer q.Close()
-	var order []string
-	var mu sync.Mutex
-	step := func(name string) {
-		mu.Lock()
-		order = append(order, name)
-		mu.Unlock()
-	}
-	done := make(chan struct{})
-	err := q.Submit(func(w *WorkerCtx) {
-		step("a")
-		w.Spawn(func(w *WorkerCtx) {
-			step("b")
-			w.Spawn(func(w *WorkerCtx) {
-				step("c")
-				close(done)
-			})
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
-		t.Fatalf("stage order = %v, want [a b c]", order)
-	}
-	st := q.Stats()
-	if st.Spawned != 2 || st.Submitted != 1 {
-		t.Errorf("stats = %+v, want 1 submitted, 2 spawned", st)
-	}
-}
-
-// TestQueueContinuationsDrainFirst: with one worker, a continuation
-// spawned by a running job runs before a root that was admitted
-// earlier — pipelines drain from the back instead of starving behind
-// fresh admissions.
-func TestQueueContinuationsDrainFirst(t *testing.T) {
-	q := NewQueue(1, 8)
-	defer q.Close()
-	var order []string
-	var mu sync.Mutex
-	step := func(name string) {
-		mu.Lock()
-		order = append(order, name)
-		mu.Unlock()
-	}
-	started := make(chan struct{})
-	unblock := make(chan struct{})
-	done := make(chan struct{})
-	if err := q.Submit(func(w *WorkerCtx) {
-		close(started)
-		<-unblock
-		step("first")
-		w.Spawn(func(w *WorkerCtx) { step("first-cont"); close(done) })
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	rootDone := make(chan struct{})
-	if err := q.Submit(func(w *WorkerCtx) { step("second"); close(rootDone) }); err != nil {
-		t.Fatal(err)
-	}
-	close(unblock)
-	<-done
-	<-rootDone
-	mu.Lock()
-	defer mu.Unlock()
-	if order[1] != "first-cont" {
-		t.Fatalf("order = %v, want the continuation before the second root", order)
-	}
-}
-
 // TestQueueWorkerIdentity: each worker index is one goroutine — two
 // jobs pinned to the same index never run concurrently.
 func TestQueueWorkerIdentity(t *testing.T) {
@@ -184,12 +108,16 @@ func TestQueueCloseRejectsAndDrains(t *testing.T) {
 	var n atomic.Int64
 	for i := 0; i < 8; i++ {
 		_ = q.Submit(func(w *WorkerCtx) {
-			w.Spawn(func(w *WorkerCtx) { n.Add(1) })
+			time.Sleep(100 * time.Microsecond)
+			n.Add(1)
 		})
 	}
-	q.Close() // must wait for roots AND their continuations
+	q.Close() // must wait for every queued job, not just the running ones
 	if got := n.Load(); got != 8 {
-		t.Fatalf("continuations after Close: %d ran, want 8", got)
+		t.Fatalf("jobs after Close: %d ran, want 8", got)
+	}
+	if st := q.Stats(); st.Completed != 8 || st.InFlight != 0 {
+		t.Errorf("stats after Close = %+v, want 8 completed, 0 in flight", st)
 	}
 	if err := q.Submit(func(w *WorkerCtx) {}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
@@ -241,8 +169,8 @@ func TestQueuePanicContainment(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker dead after panicking job")
 	}
+	q.Close()
 	if st := q.Stats(); st.InFlight != 0 {
 		t.Errorf("InFlight = %d after panic, want 0", st.InFlight)
 	}
-	q.Close()
 }
