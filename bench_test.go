@@ -864,8 +864,9 @@ for (var i = 0; i < 10000; i++) { s += i * 3 % 7; }
 // The engine pair runs the same program on both evaluators; the
 // conformance suite proves the outputs identical, so the delta here is
 // pure dispatch cost (slot reads vs map lookups, folded constants,
-// pre-resolved call sites). BENCH_interp.json holds the full
-// kernel × worker ladder; these two are the quick in-tree probes.
+// pre-resolved call sites). Workers always run compiled; the tree walk
+// stays as the conformance oracle, and this pair is the head-to-head
+// that justifies the choice (history in EXPERIMENTS.md).
 
 const engineBenchSrc = `
 var acc = 0;
@@ -894,23 +895,6 @@ func benchInterpEngine(b *testing.B, compiled bool) {
 
 func BenchmarkInterpTreeWalk(b *testing.B) { benchInterpEngine(b, false) }
 func BenchmarkInterpCompiled(b *testing.B) { benchInterpEngine(b, true) }
-
-// The same pair under the parallel worker pool: benchParallelLoops
-// above runs compiled (the Kernel default); this is its tree-walk
-// baseline at the same worker count.
-func BenchmarkParallelLoops4WorkersTreeWalk(b *testing.B) {
-	k := &parallel.Kernel{Source: benchKernel, TreeWalk: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := k.MapParallel(2048, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Values) != 2048 {
-			b.Fatal("bad result")
-		}
-	}
-}
 
 func BenchmarkGeckoSampler(b *testing.B) {
 	prog := parser.MustParse(`

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	casestudy [-table=all|1|2|3|amdahl|fortuna|exec] [-exec] [-scale=N] [-seed=N] [-workers=N] [-timing] [-minchunk=N] [-chunkdiv=N] [-engine=compiled|treewalk]
+//	casestudy [-table=all|1|2|3|amdahl|fortuna|exec] [-exec] [-pipeline] [-static=off|assist|strict] [-scale=N] [-seed=N] [-workers=N] [-timing]
 //
 // -scale divides workload sizes (1 = full Table 2/3 configuration).
 // -workers sizes the work-stealing scheduler's goroutine pool
@@ -17,18 +17,8 @@
 // convertible hot loop executes through the speculative autopar engine
 // at a ladder of worker counts (1/2/4/8 by default; -workers N narrows
 // the ladder to {1, N}), reporting measured speedup and chunk/steal
-// counters next to the ModeDeep Amdahl bound.
-// -minchunk and -chunkdiv tune the scheduler's geometric chunk plan for
-// -exec (0 = internal/sched defaults): chunks cover
-// max(minchunk, remaining/chunkdiv) elements. At any fixed setting,
-// outputs stay byte-identical across worker counts (the ladder's
-// contract); the knobs move chunk boundaries, so runs at *different*
-// settings are only comparable for map/filter kernels or associative
-// reductions.
-// -engine selects the interpreter for -exec: "compiled" (default — the
-// pre-resolved evaluator) or "treewalk"; outputs are identical either
-// way (the differential conformance suite enforces it), only wall-clock
-// numbers move. Use it for before/after engine ladders (EXPERIMENTS.md).
+// counters next to the ModeDeep Amdahl bound. Every run uses the
+// compiled evaluator and the scheduler's one fixed chunk plan.
 package main
 
 import (
@@ -50,13 +40,8 @@ func main() {
 	seed := flag.Uint64("seed", 7, "deterministic seed")
 	workers := flag.Int("workers", 0, "scheduler pool size (0 = GOMAXPROCS, 1 = sequential); with -exec, the top of the {1, N} measurement ladder")
 	timing := flag.Bool("timing", false, "print per-job and total wall-clock times to stderr")
-	minChunk := flag.Int("minchunk", 0, "scheduler knob: smallest chunk of the geometric plan (0 = default)")
-	chunkDiv := flag.Int("chunkdiv", 0, "scheduler knob: chunk-size divisor, chunks cover remaining/chunkdiv elements (0 = default)")
-	engine := flag.String("engine", "compiled", "interpreter engine for -exec: compiled (pre-resolved evaluator) or treewalk")
 	staticFlag := flag.String("static", "off", "static purity prover mode for -exec: off (speculate+guard everything), assist (guard-free dispatch for proven kernels, refuse refuted), strict (dispatch only proven)")
 	pipeline := flag.Bool("pipeline", false, "with -exec: run the streaming-pipeline ladder instead — the decode/filter/encode image workload pipelined (pipePar) vs. the chained-mapPar baseline")
-	pipeBatch := flag.Int("pipebatch", 0, "pipeline knob: elements per streamed index-range batch (0 = default)")
-	pipeDepth := flag.Int("pipedepth", 0, "pipeline knob: bounded-channel depth between stages, in batches (0 = default)")
 	flag.Parse()
 
 	switch *table {
@@ -82,22 +67,12 @@ func main() {
 		if *workers > 0 {
 			counts = []int{1, *workers}
 		}
-		study.SetExecTuning(*minChunk, *chunkDiv)
-		switch *engine {
-		case "compiled":
-			study.SetExecEngine(false)
-		case "treewalk":
-			study.SetExecEngine(true)
-		default:
-			fatal(fmt.Errorf("unknown -engine=%s (want compiled or treewalk)", *engine))
-		}
 		mode, err := autopar.ParseStaticMode(*staticFlag)
 		if err != nil {
 			fatal(err)
 		}
 		study.SetExecStatic(mode)
 		if *pipeline {
-			study.SetPipeTuning(*pipeBatch, *pipeDepth)
 			rows, measured, err := study.RunPipeAll(*seed, counts)
 			if err != nil {
 				fatal(err)

@@ -65,21 +65,6 @@ type Options struct {
 	// Verify cross-checks the parallel result bit-identical against a
 	// sequential shadow run (used by tests and ModeExec validation).
 	Verify bool
-	// MinChunk and ChunkDivisor tune the work-stealing scheduler's chunk
-	// plan for the dispatched remainder (0 = sched defaults). At any
-	// fixed setting, outputs are byte-identical across worker counts.
-	// Map/filter outputs are identical at any setting; a reduce's merge
-	// bracketing follows the chunk boundaries, so comparing reduce
-	// output across *different* knob settings requires an associative
-	// combiner (Verify catches the rest).
-	MinChunk     int
-	ChunkDivisor int
-	// TreeWalk runs dispatched workers on the tree-walking evaluator
-	// instead of the compiled one (parallel.Kernel.TreeWalk). Speculation
-	// outcomes are identical either way — the guard-parity tests hold the
-	// two engines to the same hook stream — so this is a bench/bisect
-	// toggle, not a semantics knob.
-	TreeWalk bool
 	// Static selects how much the engine trusts the internal/effects
 	// purity prover (static.go): StaticOff never consults it,
 	// StaticAssist elides the Guard and profile slice for Proven
@@ -110,10 +95,8 @@ type Options struct {
 // dispatch is declared interactive.
 func (o Options) schedOptions() sched.Options {
 	return sched.Options{
-		Workers:  o.Workers,
-		MinChunk: o.MinChunk,
-		Divisor:  o.ChunkDivisor,
-		Class:    sched.ClassInteractive,
+		Workers: o.Workers,
+		Class:   sched.ClassInteractive,
 	}
 }
 
@@ -407,7 +390,7 @@ func (p *plan) dispatch(opts sched.Options, out []value.Value) (sched.Stats, *wo
 // is identical at every worker count.
 func (p *plan) reduceDispatch(opts sched.Options) ([]value.Value, []int, sched.Stats, *workerFault) {
 	rem := p.n - p.base
-	chunkPlan := sched.Plan(rem, opts)
+	chunkPlan := sched.Plan(rem)
 	partials := make([]value.Value, len(chunkPlan))
 	starts := make([]int, len(chunkPlan))
 	gp := newGuardedPool(p, opts.MaxWorkers())
@@ -544,7 +527,6 @@ func speculate(in *interp.Interp, op string, fn value.Value, elems []value.Value
 		sequentialRemainder(in, fn, elems, base, out, coerce, &oc)
 		return oc
 	}
-	pl.kernel.TreeWalk = opts.TreeWalk
 	pl.kernel.MaxSteps = opts.WorkerSteps
 	pl.unguarded = proven
 
@@ -739,7 +721,6 @@ func ReduceSpec(in *interp.Interp, fn value.Value, elems []value.Value, init val
 		oc.AbortReason = "aborted parallel plan: " + abort
 		return foldRemainder(in, fn, acc, elems, base, &oc), oc
 	}
-	pl.kernel.TreeWalk = opts.TreeWalk
 	pl.kernel.MaxSteps = opts.WorkerSteps
 	pl.unguarded = proven
 

@@ -2,10 +2,13 @@ package autopar
 
 // guardparity_test.go pins the compiled evaluator (interp.SetCompile)
 // to the tree walk where it matters most for this package: the purity
-// guards and hook mux that speculation outcomes ride on. If compiled
-// execution fired hooks in a different order, attributed a write to a
-// different binding, or leaked a guard across a throw, speculation
-// could silently diverge between engines — these tests fail first.
+// guards and hook mux that speculation outcomes ride on. Dispatched
+// workers are always compiled, so the engine these tests vary is the
+// main interpreter's — the one that runs the guarded profile slice and
+// any sequential fallback. If compiled execution fired hooks in a
+// different order, attributed a write to a different binding, or leaked
+// a guard across a throw, speculation could silently diverge between
+// engines — these tests fail first.
 
 import (
 	"fmt"
@@ -54,12 +57,12 @@ func outcomesEqual(a, b Outcome) string {
 	return ""
 }
 
-// runSpecEngine drives MapSpec with both the main interpreter and the
-// workers on one engine.
+// runSpecEngine drives MapSpec with the main interpreter on the chosen
+// engine; the dispatched workers are compiled either way.
 func runSpecEngine(t *testing.T, src string, elems []value.Value, compiled bool) ([]value.Value, Outcome) {
 	t.Helper()
 	in, fn := loadEngine(t, src, compiled)
-	out, oc := MapSpec(in, fn, elems, Options{Workers: 4, Verify: true, TreeWalk: !compiled})
+	out, oc := MapSpec(in, fn, elems, Options{Workers: 4, Verify: true})
 	return out, oc
 }
 
@@ -180,13 +183,13 @@ type hookTrace struct {
 func (h *hookTrace) add(format string, args ...any) {
 	h.ev = append(h.ev, fmt.Sprintf(format, args...))
 }
-func (h *hookTrace) LoopEnter(id ast.LoopID)                { h.add("LE%d", id) }
-func (h *hookTrace) LoopIter(id ast.LoopID)                 { h.add("LI%d", id) }
-func (h *hookTrace) LoopExit(id ast.LoopID)                 { h.add("LX%d", id) }
-func (h *hookTrace) LoopHeader(id ast.LoopID, active bool)  { h.add("LH%d:%v", id, active) }
-func (h *hookTrace) BranchTaken(branchID int, taken bool)   { h.add("BR%d:%v", branchID, taken) }
-func (h *hookTrace) CallEnter(name string)                  { h.add("CE:%s", name) }
-func (h *hookTrace) CallExit(name string)                   { h.add("CX:%s", name) }
+func (h *hookTrace) LoopEnter(id ast.LoopID)                   { h.add("LE%d", id) }
+func (h *hookTrace) LoopIter(id ast.LoopID)                    { h.add("LI%d", id) }
+func (h *hookTrace) LoopExit(id ast.LoopID)                    { h.add("LX%d", id) }
+func (h *hookTrace) LoopHeader(id ast.LoopID, active bool)     { h.add("LH%d:%v", id, active) }
+func (h *hookTrace) BranchTaken(branchID int, taken bool)      { h.add("BR%d:%v", branchID, taken) }
+func (h *hookTrace) CallEnter(name string)                     { h.add("CE:%s", name) }
+func (h *hookTrace) CallExit(name string)                      { h.add("CX:%s", name) }
 func (h *hookTrace) VarDeclare(name string, b *interp.Binding) { h.add("VD:%s", name) }
 func (h *hookTrace) VarRead(name string, b *interp.Binding)    { h.add("VR:%s", name) }
 func (h *hookTrace) VarWrite(name string, b *interp.Binding)   { h.add("VW:%s", name) }

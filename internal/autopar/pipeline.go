@@ -52,7 +52,6 @@ func buildStagePlan(in *interp.Interp, s int, fn value.Value, opts Options) (*pl
 		kernel: &parallel.Kernel{
 			Source:   src,
 			Setup:    setup,
-			TreeWalk: opts.TreeWalk,
 			MaxSteps: opts.WorkerSteps,
 		},
 	}, ""

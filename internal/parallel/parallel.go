@@ -7,9 +7,9 @@
 // Concurrency/determinism contract: all four primitives (map, reduce,
 // filter, scan) schedule through internal/sched — the adaptive
 // work-stealing scheduler — instead of a static per-worker split. The
-// chunk plan is a pure function of (n, tuning), so per-chunk results
-// merge in chunk-index order with a bracketing that never depends on
-// worker count or steal timing; values that cross between share-nothing
+// chunk plan is a pure function of n, so per-chunk results merge in
+// chunk-index order with a bracketing that never depends on worker
+// count or steal timing; values that cross between share-nothing
 // interpreters (reduce partials, scan elements and offsets) must be
 // primitive and are rejected otherwise. Parallel results must be
 // bit-identical to sequential execution, which holds exactly when the
@@ -50,11 +50,6 @@ type Kernel struct {
 	// fuzzed kernels set it so a kernel that diverges on the worker
 	// faults (step-limit error) instead of hanging the pool.
 	MaxSteps int64
-	// TreeWalk opts workers out of compiled execution (interp.SetCompile),
-	// falling back to the tree-walking evaluator. The observable behavior
-	// is identical (the conformance suite proves it); the toggle exists
-	// for the before/after bench ladder and for bisecting engine issues.
-	TreeWalk bool
 }
 
 // program resolves Source through the process-wide parse cache.
@@ -91,9 +86,9 @@ func (k *Kernel) NewWorker() (*Worker, error) {
 		return nil, err
 	}
 	in := interp.New(interp.WithSeed(k.Seed), interp.WithMaxSteps(k.MaxSteps))
-	if !k.TreeWalk {
-		in.SetCompile(true)
-	}
+	// Workers always run the compiled evaluator; the tree walk stays its
+	// conformance oracle and mid-flight delegate inside interp.
+	in.SetCompile(true)
 	if k.Setup != nil {
 		if err := k.Setup(in); err != nil {
 			return nil, fmt.Errorf("parallel: setup: %w", err)

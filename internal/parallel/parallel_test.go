@@ -144,3 +144,17 @@ func TestWorkersClamped(t *testing.T) {
 		t.Errorf("len = %d, want 3", len(r.Values))
 	}
 }
+
+// TestNewWorkerIsCompiled pins the engine invariant: every worker runs
+// the compiled evaluator. There is no per-kernel opt-out; the tree walk
+// is only the compiled engine's conformance oracle.
+func TestNewWorkerIsCompiled(t *testing.T) {
+	k := &Kernel{Source: squareKernel, Setup: squareSetup(0)}
+	w, err := k.NewWorker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.Interp().CompileEnabled() {
+		t.Fatal("worker interpreter is not compiled")
+	}
+}

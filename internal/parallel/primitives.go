@@ -12,7 +12,7 @@ package parallel
 //     kernel result and its index.
 //
 // Scheduling goes through internal/sched: [0, n) decomposes into the
-// scheduler's geometric chunk plan — a pure function of (n, tuning),
+// scheduler's geometric chunk plan — a pure function of n,
 // independent of worker count — and chunks are executed by a
 // work-stealing pool of share-nothing interpreters. Per-chunk partials
 // merge in chunk-index order, so the merge bracketing is identical at
@@ -173,7 +173,7 @@ func (k *Kernel) ReduceParallel(n, workers int) (value.Value, error) {
 	}
 
 	opts := sched.Options{Workers: workers, Seed: k.Seed}
-	plan := sched.Plan(n, opts)
+	plan := sched.Plan(n)
 	partials := make([]value.Value, len(plan))
 	states := make([]*foldState, opts.MaxWorkers())
 	if _, err := sched.RunPlan(plan, opts, func(w, ci, lo, hi int) error {
@@ -261,7 +261,7 @@ func (k *Kernel) FilterParallel(n, workers int) (*FilterResult, error) {
 		pred value.Value
 	}
 	opts := sched.Options{Workers: workers, Seed: k.Seed}
-	plan := sched.Plan(n, opts)
+	plan := sched.Plan(n)
 	locals := make([]*FilterResult, len(plan))
 	states := make([]*predState, opts.MaxWorkers())
 	stats, err := sched.RunPlan(plan, opts, func(w, ci, lo, hi int) error {
@@ -363,7 +363,7 @@ func (k *Kernel) ScanParallel(n, workers int) (*Result, error) {
 
 	out := make([]value.Value, n)
 	opts := sched.Options{Workers: workers, Seed: k.Seed}
-	plan := sched.Plan(n, opts)
+	plan := sched.Plan(n)
 	states := make([]*foldState, opts.MaxWorkers())
 
 	// Phase 1: local inclusive scans, chunk by chunk.

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/textproto"
 	"net/url"
@@ -58,7 +59,8 @@ type Proxy struct {
 	Mode instrument.Mode
 	// ReportDir receives result reports ("github" substitute).
 	ReportDir string
-	// Client performs upstream requests (http.DefaultClient by default).
+	// Client performs upstream requests (New installs one with bounded
+	// dial and response-header waits; see newUpstreamClient).
 	Client *http.Client
 	// Cache dedupes rewrites across requests. nil disables caching:
 	// every JavaScript response is rewritten from scratch.
@@ -167,9 +169,28 @@ type Report struct {
 	Body     json.RawMessage `json:"body"`
 }
 
+// Upstream waits. An origin that accepts a connection and never answers
+// would otherwise hold the request (and its goroutines) forever; these
+// bound the two waits that precede any response bytes. There is no
+// total Client.Timeout on purpose: it would also cut long non-JS bodies
+// that stream through untouched.
+const (
+	upstreamDialTimeout   = 10 * time.Second
+	upstreamHeaderTimeout = 30 * time.Second
+)
+
+// newUpstreamClient returns an origin client with the default
+// transport's pooling and the dial and response-header waits bounded.
+func newUpstreamClient(dial, header time.Duration) *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.DialContext = (&net.Dialer{Timeout: dial, KeepAlive: 30 * time.Second}).DialContext
+	t.ResponseHeaderTimeout = header
+	return &http.Client{Transport: t}
+}
+
 // New returns a proxy for the given origin with a DefaultCacheBytes,
-// DefaultShards rewrite cache, inline rewrites (no pipeline), and the
-// stats endpoint enabled.
+// DefaultShards rewrite cache, inline rewrites (no pipeline), a bounded
+// upstream client, and the stats endpoint enabled.
 func New(origin string, mode instrument.Mode, reportDir string) (*Proxy, error) {
 	u, err := url.Parse(origin)
 	if err != nil {
@@ -179,7 +200,7 @@ func New(origin string, mode instrument.Mode, reportDir string) (*Proxy, error) 
 		Origin:        u,
 		Mode:          mode,
 		ReportDir:     reportDir,
-		Client:        http.DefaultClient,
+		Client:        newUpstreamClient(upstreamDialTimeout, upstreamHeaderTimeout),
 		Cache:         NewShardedRewriteCache(DefaultCacheBytes, DefaultShards),
 		StatsEndpoint: true,
 	}, nil

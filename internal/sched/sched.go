@@ -9,9 +9,9 @@
 // deterministic output:
 //
 //   - Plan first. A run is decomposed into a *chunk plan* — contiguous
-//     [Lo, Hi) spans of the index space whose sizes start at n/Divisor
-//     and shrink geometrically toward MinChunk. The plan is a pure
-//     function of (n, MinChunk, Divisor): it never depends on the worker
+//     [Lo, Hi) spans of the index space whose sizes start at
+//     n/DefaultDivisor and shrink geometrically toward DefaultMinChunk.
+//     The plan is a pure function of n: it never depends on the worker
 //     count, on timing, or on which worker ran what. Large chunks while
 //     lots of work remains keep per-chunk overhead negligible; small
 //     chunks toward the tail keep the finish line balanced even when
@@ -36,8 +36,8 @@
 //     order-sensitively.
 //  2. Per-chunk results (reduction partials, filter keeps) are merged by
 //     the caller in chunk-index order. Because the chunk plan is a pure
-//     function of (n, tuning), that merge applies the *same* bracketing
-//     at every worker count and on every run — so even a non-associative
+//     function of n, that merge applies the *same* bracketing at every
+//     worker count and on every run — so even a non-associative
 //     merge is byte-identical across worker counts (it may still differ
 //     from a single sequential left fold; associativity closes that last
 //     gap, exactly as in the pre-scheduler static-chunk code).
@@ -65,10 +65,10 @@ type Span struct {
 	Lo, Hi int
 }
 
-// Default tuning. Divisor 16 makes the leading chunk n/16 — big enough
-// to amortize dispatch, small enough that no single worker can be pinned
-// by more than ~1/16 of a uniformly-costed run; MinChunk 8 stops the
-// geometric shrink before per-chunk bookkeeping would rival the
+// The one chunk plan. Divisor 16 makes the leading chunk n/16 — big
+// enough to amortize dispatch, small enough that no single worker can be
+// pinned by more than ~1/16 of a uniformly-costed run; MinChunk 8 stops
+// the geometric shrink before per-chunk bookkeeping would rival the
 // per-element interpreter cost this repository schedules.
 const (
 	DefaultMinChunk = 8
@@ -80,15 +80,6 @@ type Options struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS. The effective
 	// pool is additionally clamped to the number of chunks in the plan.
 	Workers int
-	// MinChunk is the floor of the geometric chunk shrink
-	// (0 = DefaultMinChunk). Chunk boundaries — and therefore the
-	// caller's merge bracketing — depend on it, so it must be held
-	// fixed when comparing runs for byte identity.
-	MinChunk int
-	// Divisor controls chunk sizing: each chunk covers
-	// max(MinChunk, remaining/Divisor) elements (0 = DefaultDivisor).
-	// Like MinChunk it shapes the plan, never the output values.
-	Divisor int
 	// Seed feeds the per-worker steal-victim RNG. It affects which
 	// victim a thief probes first — scheduling only, never output.
 	Seed uint64
@@ -98,20 +89,6 @@ type Options struct {
 	// Stats so reports and future cross-pool arbitration can tell an
 	// interactive autopar kernel from a batch study grid.
 	Class Class
-}
-
-func (o Options) minChunk() int {
-	if o.MinChunk > 0 {
-		return o.MinChunk
-	}
-	return DefaultMinChunk
-}
-
-func (o Options) divisor() int {
-	if o.Divisor >= 1 {
-		return o.Divisor
-	}
-	return DefaultDivisor
 }
 
 // MaxWorkers resolves the requested pool size (<= 0 → GOMAXPROCS)
@@ -128,16 +105,21 @@ func (o Options) MaxWorkers() int {
 }
 
 // Plan decomposes [0, n) into the deterministic chunk plan: span k
-// covers max(MinChunk, remaining/Divisor) elements, so sizes shrink
-// geometrically from n/Divisor toward MinChunk. The result is a pure
-// function of (n, MinChunk, Divisor) — worker count and runtime timing
-// never move a chunk boundary, which is what makes chunk-order merges
-// byte-identical at every worker count.
-func Plan(n int, opts Options) []Span {
+// covers max(DefaultMinChunk, remaining/DefaultDivisor) elements, so
+// sizes shrink geometrically from n/DefaultDivisor toward
+// DefaultMinChunk. The result is a pure function of n — worker count
+// and runtime timing never move a chunk boundary, which is what makes
+// chunk-order merges byte-identical at every worker count.
+func Plan(n int) []Span {
+	return geometricPlan(n, DefaultMinChunk, DefaultDivisor)
+}
+
+// geometricPlan is Plan with the shrink floor and divisor as
+// parameters; only the package's tests pass anything but the defaults.
+func geometricPlan(n, minChunk, div int) []Span {
 	if n <= 0 {
 		return nil
 	}
-	minChunk, div := opts.minChunk(), opts.divisor()
 	spans := make([]Span, 0, div)
 	for lo := 0; lo < n; {
 		size := (n - lo) / div
@@ -192,7 +174,7 @@ type BodyFunc func(worker, chunk, lo, hi int) error
 
 // Run schedules [0, n) under the default geometric plan.
 func Run(n int, opts Options, body BodyFunc) (Stats, error) {
-	return RunPlan(Plan(n, opts), opts, body)
+	return RunPlan(Plan(n), opts, body)
 }
 
 // RunPlan schedules an explicit chunk plan across the worker pool with

@@ -9,11 +9,11 @@ import (
 )
 
 // TestPlanCoversAndShrinks: the plan tiles [0, n) exactly, sizes shrink
-// geometrically toward MinChunk, and boundaries are a pure function of
-// (n, tuning) — the determinism contract's foundation.
+// geometrically toward DefaultMinChunk, and boundaries are a pure
+// function of n — the determinism contract's foundation.
 func TestPlanCoversAndShrinks(t *testing.T) {
 	for _, n := range []int{1, 7, 8, 100, 2048, 4097} {
-		plan := Plan(n, Options{})
+		plan := Plan(n)
 		lo := 0
 		prev := n + 1
 		for ci, sp := range plan {
@@ -34,10 +34,20 @@ func TestPlanCoversAndShrinks(t *testing.T) {
 			t.Fatalf("n=%d: plan ends at %d", n, lo)
 		}
 	}
-	// Worker count never moves a boundary.
-	a := Plan(2048, Options{Workers: 2})
-	b := Plan(2048, Options{Workers: 8})
-	if fmt.Sprint(a) != fmt.Sprint(b) {
+	// Worker count never moves a boundary: a run at 2 workers and a run
+	// at 8 execute the same spans.
+	spans := func(workers int) string {
+		const n = 2048
+		seen := make([]Span, len(Plan(n)))
+		if _, err := Run(n, Options{Workers: workers}, func(w, ci, lo, hi int) error {
+			seen[ci] = Span{Lo: lo, Hi: hi}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(seen)
+	}
+	if spans(2) != spans(8) {
 		t.Fatal("plan depends on worker count")
 	}
 }
@@ -87,7 +97,7 @@ func TestDeterministicMergeAcrossWorkerCounts(t *testing.T) {
 	merge := func(workers int) float64 {
 		o := opts
 		o.Workers = workers
-		plan := Plan(n, o)
+		plan := Plan(n)
 		partials := make([]float64, len(plan))
 		if _, err := RunPlan(plan, o, func(w, ci, lo, hi int) error {
 			s := 0.0
@@ -117,7 +127,7 @@ func TestDeterministicMergeAcrossWorkerCounts(t *testing.T) {
 // leading region; drained workers must steal the rest of the plan.
 func TestStealingUnderSkew(t *testing.T) {
 	const n = 512
-	stats, err := Run(n, Options{Workers: 4, MinChunk: 8, Divisor: 16}, func(w, ci, lo, hi int) error {
+	stats, err := RunPlan(geometricPlan(n, 8, 16), Options{Workers: 4}, func(w, ci, lo, hi int) error {
 		if lo < n/4 {
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -142,7 +152,7 @@ func TestStealingUnderSkew(t *testing.T) {
 func TestRunErrorCancels(t *testing.T) {
 	boom := errors.New("boom")
 	var executed atomic.Int32
-	_, err := Run(10000, Options{Workers: 4, MinChunk: 1, Divisor: 1000}, func(w, ci, lo, hi int) error {
+	_, err := RunPlan(geometricPlan(10000, 1, 1000), Options{Workers: 4}, func(w, ci, lo, hi int) error {
 		if executed.Add(1) == 3 {
 			return boom
 		}
@@ -182,7 +192,7 @@ func TestPerWorkerStateSafety(t *testing.T) {
 	const n = 2000
 	inUse := make([]atomic.Bool, 16)
 	state := make([]int, 16) // written without locks, per contract
-	_, err := Run(n, Options{Workers: 8, MinChunk: 4, Divisor: 32}, func(w, ci, lo, hi int) error {
+	_, err := RunPlan(geometricPlan(n, 4, 32), Options{Workers: 8}, func(w, ci, lo, hi int) error {
 		if !inUse[w].CompareAndSwap(false, true) {
 			return fmt.Errorf("worker %d re-entered concurrently", w)
 		}

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/autopar"
 	"repro/internal/effects"
+	"repro/internal/js/ast"
 	"repro/internal/js/interp"
 	"repro/internal/js/value"
 	"repro/internal/rivertrail"
@@ -119,45 +120,19 @@ func normalizeCounts(counts []int) []int {
 	return out
 }
 
-// execTuning holds the scheduler knobs (cmd/casestudy -minchunk and
-// -chunkdiv) ModeExec threads into every speculative operation. Knobs
-// shape scheduling granularity only, never output values — but MinChunk
-// and ChunkDivisor move chunk boundaries, so a byte-identity comparison
-// must hold them fixed (RunExecAll does: one setting per run).
-var execTuning = struct {
-	minChunk, chunkDivisor int
-	treeWalk               bool
-	static                 autopar.StaticMode
-}{}
-
-// SetExecTuning configures the ModeExec scheduler knobs (0 = sched
-// defaults). Call before RunExecAll, like workloads.SetScale.
-func SetExecTuning(minChunk, chunkDivisor int) {
-	execTuning.minChunk, execTuning.chunkDivisor = minChunk, chunkDivisor
-}
-
-// SetExecEngine selects the evaluator for ModeExec runs: compiled
-// (default) or the tree walk (treeWalk = true). Outputs are identical
-// either way — the differential conformance suite holds the engines to
-// byte-identical behavior — so this only moves wall-clock numbers; it
-// exists for the before/after ladder (EXPERIMENTS.md) and bisection.
-func SetExecEngine(treeWalk bool) { execTuning.treeWalk = treeWalk }
+// execStatic is the static mode (cmd/casestudy -static) ModeExec
+// threads into every speculative operation.
+var execStatic autopar.StaticMode
 
 // SetExecStatic selects the engine's static mode for ModeExec runs
 // (cmd/casestudy -static). Off still *reports* the prover's verdict per
 // row — the column is analysis output, independent of whether the
 // engine acts on it.
-func SetExecStatic(m autopar.StaticMode) { execTuning.static = m }
+func SetExecStatic(m autopar.StaticMode) { execStatic = m }
 
 // execOptions builds the speculation options for one measured count.
 func execOptions(workers int) autopar.Options {
-	return autopar.Options{
-		Workers:      workers,
-		MinChunk:     execTuning.minChunk,
-		ChunkDivisor: execTuning.chunkDivisor,
-		TreeWalk:     execTuning.treeWalk,
-		Static:       execTuning.static,
-	}
+	return autopar.Options{Workers: workers, Static: execStatic}
 }
 
 // runExecKernel measures one kernel across the count ladder.
@@ -241,7 +216,7 @@ func runExecKernel(ek workloads.ExecKernel, seed uint64, counts []int) (ExecRow,
 // work at every worker count and would otherwise drag every speedup
 // toward 1.0.
 func execOnce(ek workloads.ExecKernel, n int, seed uint64, opts autopar.Options) (string, rivertrail.Report, float64, error) {
-	// interp.Load: the ladder re-parses the same three programs once per
+	// interp.Load: the ladder re-parses the same programs once per
 	// worker count; the process-wide cache hands back shared read-only
 	// ASTs instead (the interpreter never mutates what it executes).
 	setupProg, err := interp.Load(ek.Prelude + "\nvar __pa = ParallelArray(__rawInput);\n")
@@ -252,22 +227,34 @@ func execOnce(ek workloads.ExecKernel, n int, seed uint64, opts autopar.Options)
 	if err != nil {
 		return "", rivertrail.Report{}, 0, err
 	}
+	return timedRun(seed, opts, n, ek.Input, setupProg, opProg)
+}
+
+// mainInterp builds the main interpreter of a ModeExec or pipeline run,
+// with the ParallelArray engine installed under opts.
+func mainInterp(seed uint64, opts autopar.Options) (*interp.Interp, *rivertrail.State) {
+	in := interp.New(interp.WithSeed(seed))
+	// The main interpreter runs the profile slice and any sequential
+	// fallback; measuring it on a different engine than the workers
+	// would skew the ladder.
+	in.SetCompile(true)
+	st := rivertrail.Install(in)
+	st.SetOptions(opts)
+	return in, st
+}
+
+// timedRun executes one measurement on a fresh main interpreter: it
+// binds the n-element input to __rawInput, runs setupProg, times opProg
+// alone, and returns the signature of the __out array it leaves behind.
+func timedRun(seed uint64, opts autopar.Options, n int, input func(int) float64, setupProg, opProg *ast.Program) (string, rivertrail.Report, float64, error) {
 	sigProg, err := interp.Load(`var __sig = __out.toArray().join(",");` + "\n")
 	if err != nil {
 		return "", rivertrail.Report{}, 0, err
 	}
-	in := interp.New(interp.WithSeed(seed))
-	if !opts.TreeWalk {
-		// The main interpreter runs the profile slice and any sequential
-		// fallback; measuring it on a different engine than the workers
-		// would skew the ladder.
-		in.SetCompile(true)
-	}
-	st := rivertrail.Install(in)
-	st.SetOptions(opts)
+	in, st := mainInterp(seed, opts)
 	elems := make([]value.Value, n)
 	for i := range elems {
-		elems[i] = value.Number(ek.Input(i))
+		elems[i] = value.Number(input(i))
 	}
 	in.SetGlobal("__rawInput", value.ObjectVal(in.NewArray(elems...)))
 	if err := in.Run(setupProg); err != nil {
@@ -285,7 +272,7 @@ func execOnce(ek workloads.ExecKernel, n int, seed uint64, opts autopar.Options)
 	}
 	sig := in.Global("__sig").Str()
 	if sig == "" {
-		return "", rivertrail.Report{}, 0, fmt.Errorf("kernel produced no output")
+		return "", rivertrail.Report{}, 0, fmt.Errorf("operation produced no output")
 	}
 	return sig, st.Last(), ms, nil
 }

@@ -84,3 +84,17 @@ func TestModeExecString(t *testing.T) {
 		t.Errorf("ModeExec.String() = %q", ModeExec.String())
 	}
 }
+
+// TestMainInterpIsCompiled: the ModeExec and pipeline ladders run their
+// main interpreter (profile slice, sequential fallback) on the same
+// compiled engine as the workers.
+func TestMainInterpIsCompiled(t *testing.T) {
+	for name, opts := range map[string]autopar.Options{
+		"exec":     execOptions(2),
+		"pipeline": pipeOptions(2),
+	} {
+		if in, _ := mainInterp(7, opts); !in.CompileEnabled() {
+			t.Errorf("%s: main interpreter is not compiled", name)
+		}
+	}
+}

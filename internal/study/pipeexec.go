@@ -14,13 +14,11 @@ package study
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/autopar"
 	"repro/internal/core"
 	"repro/internal/effects"
 	"repro/internal/js/interp"
-	"repro/internal/js/value"
 	"repro/internal/rivertrail"
 	"repro/internal/workloads"
 )
@@ -71,26 +69,11 @@ func RunPipeAll(seed uint64, counts []int) ([]PipeRow, []int, error) {
 	return []PipeRow{row}, counts, nil
 }
 
-// pipeTuning holds the streaming knobs (cmd/casestudy -pipebatch and
-// -pipedepth). Like the scheduler knobs they shape granularity only,
-// never output values, but a byte-identity comparison holds them fixed.
-var pipeTuning struct {
-	batch, depth int
-}
-
-// SetPipeTuning configures the pipeline batch size and channel depth
-// (0 = taskgraph defaults). Call before RunPipeAll.
-func SetPipeTuning(batch, depth int) {
-	pipeTuning.batch, pipeTuning.depth = batch, depth
-}
-
 // pipeOptions builds the speculation options for one measured count:
-// the ModeExec tuning knobs plus the pipeline toggle.
+// the ModeExec options plus the pipeline toggle.
 func pipeOptions(workers int) autopar.Options {
 	o := execOptions(workers)
 	o.Pipeline = true
-	o.PipeBatch = pipeTuning.batch
-	o.PipeDepth = pipeTuning.depth
 	return o
 }
 
@@ -213,39 +196,7 @@ func pipeOnce(pk workloads.PipeKernel, n int, seed uint64, opts autopar.Options,
 	if err != nil {
 		return "", rivertrail.Report{}, 0, err
 	}
-	sigProg, err := interp.Load(`var __sig = __out.toArray().join(",");` + "\n")
-	if err != nil {
-		return "", rivertrail.Report{}, 0, err
-	}
-	in := interp.New(interp.WithSeed(seed))
-	if !opts.TreeWalk {
-		in.SetCompile(true)
-	}
-	st := rivertrail.Install(in)
-	st.SetOptions(opts)
-	elems := make([]value.Value, n)
-	for i := range elems {
-		elems[i] = value.Number(pk.Input(i))
-	}
-	in.SetGlobal("__rawInput", value.ObjectVal(in.NewArray(elems...)))
-	if err := in.Run(setupProg); err != nil {
-		return "", rivertrail.Report{}, 0, err
-	}
-
-	t0 := time.Now()
-	if err := in.Run(opProg); err != nil {
-		return "", rivertrail.Report{}, 0, err
-	}
-	ms := float64(time.Since(t0).Microseconds()) / 1000
-
-	if err := in.Run(sigProg); err != nil {
-		return "", rivertrail.Report{}, 0, err
-	}
-	sig := in.Global("__sig").Str()
-	if sig == "" {
-		return "", rivertrail.Report{}, 0, fmt.Errorf("pipeline produced no output")
-	}
-	return sig, st.Last(), ms, nil
+	return timedRun(seed, opts, n, pk.Input, setupProg, opProg)
 }
 
 // detectPipePairs runs the workload's raw loop-pair form under the
